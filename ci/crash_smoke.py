@@ -233,6 +233,14 @@ def main():
         client = Client(addr)
         expect(client.send(f"OPEN quote {SCHEMA}"), "OK opened quote rows=0")
         expect(client.send(f"SUBSCRIBE s1 quote\n{QUERY}"), "OK subscribed s1")
+        # Sync acks only hold while the link is up; a FEED that beats the
+        # primary's first connection to the standby degrades to async.
+        for _ in range(300):
+            if metric(scrape(addr), "sqlts_repl_connected") == 1:
+                break
+            time.sleep(0.1)
+        else:
+            raise AssertionError("replication link never came up")
         for chunk in chunks[:10]:
             expect(client.send("FEED quote\n" + "\n".join(chunk)),
                    f"OK fed {len(chunk)} subs=1")

@@ -218,17 +218,6 @@ const SERVE_FLAGS: &[FlagSpec] = &[
         help: "admission cap on concurrently live subscriptions (default 64)",
     },
     FlagSpec {
-        name: "--queue-depth",
-        metavar: Some("N"),
-        help: "per-subscription command-queue depth; feeders block when a \
-               subscription falls this far behind (default 16)",
-    },
-    FlagSpec {
-        name: "--poll-interval-ms",
-        metavar: Some("N"),
-        help: "idle-poll interval for stalled-deadline reclamation (default 50)",
-    },
-    FlagSpec {
         name: "--max-frame-bytes",
         metavar: Some("N"),
         help: "largest accepted protocol frame; bigger frames get ERR 2 and \
@@ -237,8 +226,8 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--timeout-ms",
         metavar: Some("N"),
-        help: "default wall-clock budget per subscription (trips even while \
-               the subscription is idle)",
+        help: "default wall-clock budget per subscription (an idle \
+               subscription is seen to trip when it is next read)",
     },
     FlagSpec {
         name: "--max-steps",
@@ -364,7 +353,7 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--shared-matcher",
-        metavar: Some("on|off|auto"),
+        metavar: Some("on|off"),
         help: "share one pattern-set pass across a channel's subscriptions: \
                aligned queries pool predicate tests through a shared memo, \
                per-subscription results stay byte-identical; /metrics gains \
@@ -633,10 +622,6 @@ fn run_serve() -> Result<(), CliError> {
         match name {
             "--listen" => config.listen = value.unwrap_or_else(|| serve_usage()),
             "--max-subscriptions" => config.max_subscriptions = serve_numeric(value),
-            "--queue-depth" => config.queue_depth = serve_numeric(value),
-            "--poll-interval-ms" => {
-                config.poll_interval = Duration::from_millis(serve_numeric(value))
-            }
             "--max-frame-bytes" => config.max_frame_bytes = serve_numeric(value),
             "--timeout-ms" => timeout_ms = Some(serve_numeric(value)),
             "--max-steps" => max_steps = Some(serve_numeric(value)),

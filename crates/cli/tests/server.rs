@@ -115,12 +115,17 @@ fn rows() -> Vec<String> {
 
 /// The batch-mode reference output for the same tuples.
 fn batch_csv(rows: &[String]) -> String {
+    batch_csv_of(rows, QUERY)
+}
+
+/// The batch-mode output of `query` over `rows`.
+fn batch_csv_of(rows: &[String], query: &str) -> String {
     let dir = std::env::temp_dir().join(format!("sqlts-server-batch-{}", std::process::id()));
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("data.csv");
     std::fs::write(&path, format!("name,day,price\n{}\n", rows.join("\n"))).unwrap();
     let out = Command::new(BIN)
-        .args(["--csv", path.to_str().unwrap(), "--schema", SCHEMA, QUERY])
+        .args(["--csv", path.to_str().unwrap(), "--schema", SCHEMA, query])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -170,6 +175,50 @@ fn concurrent_subscriptions_match_batch() {
         assert_eq!(
             result_body(&reply, id, 0),
             expected,
+            "subscription {id} must be byte-identical to batch"
+        );
+    }
+}
+
+/// One expensive tenant cannot stall its channel.  Every subscription
+/// runs on the feeding connection's thread, so a backtracking-star query
+/// must be cut off by its own step budget: it returns a partial result
+/// coded 4, while the cheap subscriptions beside it stay byte-identical
+/// to batch and every FEED is acknowledged.
+#[test]
+fn expensive_subscription_trips_its_budget_without_stalling_the_channel() {
+    const CHEAP: &str = "SELECT X.name, Y.day AS day FROM quote \
+                         CLUSTER BY name SEQUENCE BY day AS (X, Y) \
+                         WHERE Y.price > X.price";
+    const STAR: &str = "SELECT W.name, W.day AS day FROM quote \
+                        CLUSTER BY name SEQUENCE BY day AS (W, *X, *Y, Z) \
+                        WHERE X.price > 0 AND Y.price > 0 AND Z.price < 0";
+    let rows = rows();
+    // Under the backtracking engine, QUERY and CHEAP cost a few hundred
+    // predicate tests over these rows and STAR over a million.
+    let server = spawn_server(&["--engine", "backtrack", "--max-steps", "10000"]);
+    let mut client = Client::connect(&server.addr);
+    client.send(&format!("OPEN quote {SCHEMA}"));
+    for (id, sql) in [("cheap1", QUERY), ("star", STAR), ("cheap2", CHEAP)] {
+        let reply = client.send(&format!("SUBSCRIBE {id} quote\n{sql}"));
+        assert_eq!(reply, format!("OK subscribed {id} quote"));
+    }
+    for chunk in rows.chunks(40) {
+        let reply = client.send(&format!("FEED quote\n{}", chunk.join("\n")));
+        assert!(
+            reply.starts_with(&format!("OK fed {} subs=3 ", chunk.len())),
+            "{reply}"
+        );
+    }
+    let reply = client.send("UNSUBSCRIBE star");
+    let head = reply.lines().next().unwrap();
+    assert!(head.starts_with("RESULT star 4 "), "{head}");
+    assert!(head.contains("trip=steps"), "{head}");
+    for (id, sql) in [("cheap1", QUERY), ("cheap2", CHEAP)] {
+        let reply = client.send(&format!("UNSUBSCRIBE {id}"));
+        assert_eq!(
+            result_body(&reply, id, 0),
+            batch_csv_of(&rows, sql),
             "subscription {id} must be byte-identical to batch"
         );
     }
@@ -410,7 +459,6 @@ fn status_endpoint_reports_live_subscriptions_as_json() {
         "\"draining\":false",
         "\"id\":\"live\"",
         "\"records\":2",
-        "\"queue_depth\":",
         "\"phase\":\"",
         "\"latency\":{",
         "\"frame_decode_micros\":{\"count\":",
@@ -519,7 +567,7 @@ fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
 fn stalled_subscription_trips_wall_clock_deadline() {
     // The acceptance criterion, end to end: a subscription that stops
     // feeding must trip its deadline with no further FEED frame.
-    let server = spawn_server(&["--timeout-ms", "150", "--poll-interval-ms", "10"]);
+    let server = spawn_server(&["--timeout-ms", "150"]);
     let mut client = Client::connect(&server.addr);
     client.send(&format!("OPEN quote {SCHEMA}"));
     client.send(&format!("SUBSCRIBE stall quote\n{QUERY}"));

@@ -1,66 +1,64 @@
-//! Session multiplexing: one owned worker thread per standing query.
+//! Session multiplexing: many standing queries owned by one registry.
 //!
-//! [`StreamSession`] borrows its compiled query for its whole life, which
-//! is perfect for a driver with the query on its stack and awkward for a
-//! long-lived registry that must own many sessions at once.  A
-//! [`SessionWorker`] resolves the tension by compiling the query *inside*
-//! a dedicated thread, where the session can borrow it until the thread
-//! exits; the rest of the process talks to the worker over a bounded
-//! command channel.  This is the substrate a multi-tenant host (the
+//! [`StreamSession`] borrows its compiled query, which suits a driver with
+//! the query on its stack and not a long-lived registry that must own many
+//! sessions at once.  A [`SessionWorker`] compiles the query and keeps it
+//! inside an owned `StreamSession<'static>` behind one leaf [`Mutex`], and
+//! runs every call — [`feed`](SessionWorker::feed),
+//! [`snapshot_with_records`](SessionWorker::snapshot_with_records),
+//! [`status`](SessionWorker::status), [`finish`](SessionWorker::finish) —
+//! on the thread that makes it.  No thread, queue or timer exists per
+//! session.  This is the substrate a multi-tenant host (the
 //! `sqlts-server` crate, or any embedding) multiplexes subscriptions onto:
 //!
-//! * **Admission control** — the command queue is a
-//!   [`std::sync::mpsc::sync_channel`] of configurable depth, so a slow
-//!   subscription exerts backpressure on its feeders instead of buffering
-//!   unboundedly, and per-worker [`Governor`](crate::Governor) budgets
+//! * **Isolation** — per-worker [`Governor`](crate::Governor) budgets
 //!   (deadline / step / match) ride in unchanged through
-//!   [`StreamOptions::exec`].
-//! * **Stalled-tenant reclamation** — the worker's idle loop calls
-//!   [`StreamSession::poll_deadline`] every `poll_interval`, so a tenant
-//!   that simply stops feeding still trips its wall-clock deadline and
-//!   releases its budget without waiting for another tuple.
+//!   [`StreamOptions::exec`]; a panic inside any call is contained with
+//!   `catch_unwind` and reported as [`WorkerError::Runtime`], never
+//!   unwound into the caller.
+//! * **Stalled-tenant reclamation** — `status`, `snapshot_with_records`
+//!   and `finish` call [`StreamSession::poll_deadline`] before they read,
+//!   so a tenant that simply stops feeding is seen to trip its wall-clock
+//!   deadline the next time anyone looks at it.
 //! * **Checkpoint / resume** — [`SessionWorker::snapshot`] returns the
 //!   session's `sqlts-checkpoint v1` text, and
 //!   [`SessionWorkerConfig::resume_from`] rebuilds a worker that continues
 //!   bit-identically (the checkpoint's engine wins, so a resumed
 //!   subscription never silently switches machines).
 //!
+//! The session lock is a leaf among the host's locks: nothing that holds
+//! it waits on a registry, channel or persist lock.  (With a shared
+//! pattern-set, the session's memo probes take the memo's own cache locks
+//! beneath it; those never wait on anything else.)
+//!
 //! Every reply carries a [`WorkerError`] mapped onto the CLI's documented
 //! exit-code scheme (3 input, 4 runtime/governed, 5 quarantine) so
 //! transports can surface one consistent status vocabulary.
 
+use crate::executor::panic_cause;
 use crate::patternset::SetRegistry;
 use crate::stream::{SessionCheckpoint, StreamError, StreamOptions, StreamSession};
 use crate::{compile, Trip};
 use sqlts_relation::Schema;
 use sqlts_trace::ExecutionProfile;
+use std::borrow::Cow;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Everything a [`SessionWorker`] needs to stand up its session.
 #[derive(Clone, Debug)]
 pub struct SessionWorkerConfig {
-    /// A short identifier used for the worker thread's name and
-    /// diagnostics (e.g. the subscription id).
+    /// A short identifier for diagnostics (e.g. the subscription id).
     pub name: String,
-    /// The SQL-TS query source; compiled inside the worker thread.
+    /// The SQL-TS query source; compiled by [`SessionWorker::spawn`].
     pub sql: String,
     /// The input schema the query is compiled against.
     pub schema: Schema,
     /// The full stream options (engine, governor, instrumentation,
     /// bad-tuple policy, backpressure) the session runs under.
     pub stream: StreamOptions,
-    /// Command-queue depth: how many commands may be pending before
-    /// senders block (admission control / backpressure).  Clamped to ≥ 1.
-    pub queue_depth: usize,
-    /// How often the idle loop polls the session deadline when no
-    /// commands arrive.  Keep this well under any configured
-    /// `--timeout-ms` so stalled tenants are reclaimed promptly.
-    pub poll_interval: Duration,
     /// `sqlts-checkpoint v1` text to resume from, or `None` for a fresh
     /// session.  On resume the checkpoint's engine overrides
     /// `stream.exec.engine` so continuation is bit-identical.
@@ -85,16 +83,14 @@ pub struct SharedSpec {
 }
 
 impl SessionWorkerConfig {
-    /// A config with the given query over `schema` and conservative
-    /// defaults: fresh session, queue depth 16, 50ms poll interval.
+    /// A config with the given query over `schema`, default stream
+    /// options, and a fresh session.
     pub fn new(name: impl Into<String>, sql: impl Into<String>, schema: Schema) -> Self {
         SessionWorkerConfig {
             name: name.into(),
             sql: sql.into(),
             schema,
             stream: StreamOptions::default(),
-            queue_depth: 16,
-            poll_interval: Duration::from_millis(50),
             resume_from: None,
             shared: None,
         }
@@ -109,14 +105,14 @@ pub enum WorkerError {
     /// checkpoint) — exit-code class 3.
     Input(String),
     /// The session started but failed at runtime (poisoned by a contained
-    /// panic, I/O) — exit-code class 4.
+    /// panic) — exit-code class 4.
     Runtime(String),
     /// The resource governor terminated the session — exit-code class 4,
     /// kept distinct so hosts can attach partial-result semantics.
     Governed(Trip),
     /// A quarantine reached its capacity — exit-code class 5.
     Quarantine(String),
-    /// The worker thread is gone (already finished or crashed).
+    /// The session is gone (already finished).
     Gone,
 }
 
@@ -140,7 +136,7 @@ impl fmt::Display for WorkerError {
             WorkerError::Governed(trip) => {
                 write!(f, "stream terminated by resource governor: {trip}")
             }
-            WorkerError::Gone => write!(f, "session worker is gone"),
+            WorkerError::Gone => write!(f, "session is gone"),
         }
     }
 }
@@ -200,14 +196,15 @@ pub struct FinishReport {
     pub quarantined: usize,
 }
 
-/// What a worker thread is doing *right now*, published through a
-/// [`PhaseTag`] so an observer (the server's sampling profiler) can read
-/// it with one relaxed atomic load — no lock, no signal, no stack
-/// unwinding, and zero effect on what the worker computes.
+/// What the thread running a worker's session is doing *right now*,
+/// published through a [`PhaseTag`] so an observer (the server's sampling
+/// profiler) can read it with one relaxed atomic load — no lock, no
+/// signal, no stack unwinding, and zero effect on what the session
+/// computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum WorkerPhase {
-    /// Parked in `recv_timeout`, waiting for a command.
+    /// No call is running on the session.
     Idle = 0,
     /// Compiling the query (and applying any resume checkpoint) at
     /// startup.
@@ -248,11 +245,11 @@ impl WorkerPhase {
 }
 
 /// The cheap atomic tag a [`SessionWorker`] publishes for samplers: the
-/// current [`WorkerPhase`] plus the session's record count.  All loads
-/// and stores are `Relaxed` — a sampler tolerates a stale read by
-/// design (it is a statistical profile, not a synchronization point),
-/// and the worker pays two uncontended atomic stores per command, far
-/// from the per-tuple hot loop.
+/// current [`WorkerPhase`] plus the session's record count.  Whichever
+/// thread holds the session lock sets it.  All loads and stores are
+/// `Relaxed` — a sampler tolerates a stale read by design (it is a
+/// statistical profile, not a synchronization point), and a call pays a
+/// few uncontended atomic stores, far from the per-tuple hot loop.
 #[derive(Debug, Default)]
 pub struct PhaseTag {
     phase: AtomicU8,
@@ -279,35 +276,18 @@ impl PhaseTag {
     }
 }
 
-enum Command {
-    Feed {
-        row: Vec<sqlts_relation::Value>,
-        reply: SyncSender<Result<(), WorkerError>>,
-    },
-    Snapshot {
-        reply: SyncSender<Result<(String, u64), WorkerError>>,
-    },
-    Status {
-        reply: SyncSender<SessionStatus>,
-    },
-    Finish {
-        reply: SyncSender<FinishReport>,
-    },
-}
-
-/// A handle to one subscription's dedicated worker thread.
+/// One subscription's session, owned and driven inline.
 ///
 /// All methods take `&self`, so a handle can sit in a shared registry and
-/// be driven from many connection threads at once; replies come back over
-/// per-call rendezvous channels.  Dropping the handle without calling
-/// [`finish`](SessionWorker::finish) shuts the worker down and discards
+/// be driven from many connection threads at once; the session mutex
+/// serializes them, and each call runs on the caller's thread.  Dropping
+/// the handle without calling [`finish`](SessionWorker::finish) discards
 /// the session (take a [`snapshot`](SessionWorker::snapshot) first to
 /// keep the work).
 pub struct SessionWorker {
-    tx: SyncSender<Command>,
-    join: Mutex<Option<JoinHandle<()>>>,
+    /// `None` once [`finish`](SessionWorker::finish) has consumed it.
+    session: Mutex<Option<StreamSession<'static>>>,
     tag: Arc<PhaseTag>,
-    queued: Arc<AtomicU64>,
 }
 
 impl fmt::Debug for SessionWorker {
@@ -317,50 +297,48 @@ impl fmt::Debug for SessionWorker {
 }
 
 impl SessionWorker {
-    /// Spawn the worker: compile the query (and apply any resume
-    /// checkpoint) inside the new thread, then report readiness.  A
-    /// compile or resume failure surfaces here, not later.
+    /// Stand the worker up: compile the query, apply any resume
+    /// checkpoint, and join the shared pattern-set registry, all on the
+    /// calling thread.  A compile or resume failure surfaces here, not
+    /// later.
     pub fn spawn(config: SessionWorkerConfig) -> Result<SessionWorker, WorkerError> {
-        let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
-        let (ready_tx, ready_rx) = mpsc::sync_channel(1);
         let tag = Arc::new(PhaseTag::default());
-        let queued = Arc::new(AtomicU64::new(0));
-        let name = format!("sqlts-sub-{}", config.name);
-        let worker_tag = Arc::clone(&tag);
-        let worker_queued = Arc::clone(&queued);
-        let join = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || worker_main(config, &rx, &ready_tx, &worker_tag, &worker_queued))
-            .map_err(|e| WorkerError::Runtime(format!("spawn worker: {e}")))?;
-        match ready_rx.recv() {
-            Ok(Ok(())) => Ok(SessionWorker {
-                tx,
-                join: Mutex::new(Some(join)),
-                tag,
-                queued,
-            }),
-            Ok(Err(e)) => {
-                let _ = join.join();
-                Err(e)
-            }
-            Err(_) => {
-                let _ = join.join();
-                Err(WorkerError::Runtime("worker died during startup".into()))
-            }
-        }
+        tag.set(WorkerPhase::Compile);
+        let built = catch_unwind(AssertUnwindSafe(|| open_session(config)));
+        tag.set(WorkerPhase::Idle);
+        let session = built.map_err(panicked)??;
+        tag.set_records(session.records());
+        Ok(SessionWorker {
+            session: Mutex::new(Some(session)),
+            tag,
+        })
     }
 
-    fn call<T>(&self, make: impl FnOnce(SyncSender<T>) -> Command) -> Result<T, WorkerError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        // Count the command as queued before the (possibly blocking)
-        // send so a sampler sees the backpressure while a feeder is
-        // stalled on a full queue; the worker decrements on dequeue.
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(make(reply_tx)).is_err() {
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-            return Err(WorkerError::Gone);
-        }
-        reply_rx.recv().map_err(|_| WorkerError::Gone)
+    /// Run `call` on the session under its lock, publishing `phase` while
+    /// it runs.  A panic is contained here: it poisons the lock, so this
+    /// call and every later one report [`WorkerError::Runtime`].
+    fn with_session<T>(
+        &self,
+        phase: WorkerPhase,
+        call: impl FnOnce(&mut Option<StreamSession<'static>>) -> Result<T, WorkerError>,
+    ) -> Result<T, WorkerError> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut slot = self
+                .session
+                .lock()
+                .map_err(|_| WorkerError::Runtime("session poisoned by an earlier panic".into()))?;
+            self.tag.set(phase);
+            let result = call(&mut slot);
+            if let Some(session) = slot.as_ref() {
+                self.tag.set_records(session.records());
+            }
+            self.tag.set(WorkerPhase::Idle);
+            result
+        }));
+        outcome.unwrap_or_else(|payload| {
+            self.tag.set(WorkerPhase::Idle);
+            Err(panicked(payload))
+        })
     }
 
     /// The worker's live phase/record tag, for samplers.  Cloning the
@@ -370,16 +348,12 @@ impl SessionWorker {
         Arc::clone(&self.tag)
     }
 
-    /// Commands currently queued (or in flight) toward the worker —
-    /// the live backpressure gauge.
-    pub fn queue_depth(&self) -> u64 {
-        self.queued.load(Ordering::Relaxed)
-    }
-
-    /// Push one tuple into the session (blocks while the queue is full —
-    /// that is the backpressure).
+    /// Push one tuple into the session.
     pub fn feed(&self, row: Vec<sqlts_relation::Value>) -> Result<(), WorkerError> {
-        self.call(|reply| Command::Feed { row, reply })?
+        self.with_session(WorkerPhase::Feed, |slot| {
+            let session = slot.as_mut().ok_or(WorkerError::Gone)?;
+            session.feed(row).map_err(map_stream_err)
+        })
     }
 
     /// Capture the session as `sqlts-checkpoint v1` text.
@@ -388,120 +362,72 @@ impl SessionWorker {
     }
 
     /// Capture the session as checkpoint text *plus* the record count the
-    /// checkpoint represents, extracted in the same worker round trip —
-    /// so a persistence layer can align the snapshot with its input log
+    /// checkpoint represents, read under the same lock — so a
+    /// persistence layer can align the snapshot with its input log
     /// without re-parsing the text and without racing concurrent feeds.
     pub fn snapshot_with_records(&self) -> Result<(String, u64), WorkerError> {
-        self.call(|reply| Command::Snapshot { reply })?
+        self.with_session(WorkerPhase::Snapshot, |slot| {
+            let session = slot.as_mut().ok_or(WorkerError::Gone)?;
+            // A tripped or poisoned session still snapshots (or fails on
+            // its own terms below); the poll only latches a due deadline.
+            let _ = session.poll_deadline();
+            session
+                .snapshot()
+                .map(|cp| (cp.to_text(), cp.records()))
+                .map_err(map_stream_err)
+        })
     }
 
     /// A point-in-time status snapshot.
     pub fn status(&self) -> Result<SessionStatus, WorkerError> {
-        self.call(|reply| Command::Status { reply })
+        self.with_session(WorkerPhase::Status, |slot| {
+            let session = slot.as_mut().ok_or(WorkerError::Gone)?;
+            let _ = session.poll_deadline();
+            Ok(status_of(session))
+        })
     }
 
     /// Close the stream: drive the session to end-of-input and return the
-    /// final (or partial, when governed) result.  The worker thread exits.
+    /// final (or partial, when governed) result.  Later calls report
+    /// [`WorkerError::Gone`].
     pub fn finish(&self) -> Result<FinishReport, WorkerError> {
-        let report = self.call(|reply| Command::Finish { reply })?;
-        if let Ok(mut slot) = self.join.lock() {
-            if let Some(join) = slot.take() {
-                let _ = join.join();
-            }
-        }
-        Ok(report)
+        self.with_session(WorkerPhase::Finish, |slot| {
+            let mut session = slot.take().ok_or(WorkerError::Gone)?;
+            let _ = session.poll_deadline();
+            Ok(finish_report(session))
+        })
     }
 }
 
-fn worker_main(
-    config: SessionWorkerConfig,
-    rx: &mpsc::Receiver<Command>,
-    ready: &SyncSender<Result<(), WorkerError>>,
-    tag: &PhaseTag,
-    queued: &AtomicU64,
-) {
-    tag.set(WorkerPhase::Compile);
-    let compiled = match compile(&config.sql, &config.schema, &config.stream.exec.compile) {
-        Ok(q) => q,
-        Err(e) => {
-            let _ = ready.send(Err(WorkerError::Input(e.render(&config.sql))));
-            return;
-        }
-    };
-    let mut options = config.stream.clone();
-    let built = match &config.resume_from {
-        Some(text) => SessionCheckpoint::from_text(text).and_then(|cp| {
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> WorkerError {
+    WorkerError::Runtime(format!("session panicked: {}", panic_cause(payload)))
+}
+
+/// Compile `config.sql`, build (or resume) its owned session, and join
+/// the shared pattern-set registry when configured.
+fn open_session(config: SessionWorkerConfig) -> Result<StreamSession<'static>, WorkerError> {
+    let compiled = compile(&config.sql, &config.schema, &config.stream.exec.compile)
+        .map_err(|e| WorkerError::Input(e.render(&config.sql)))?;
+    let mut options = config.stream;
+    let checkpoint = match &config.resume_from {
+        Some(text) => {
+            let cp = SessionCheckpoint::from_text(text).map_err(map_stream_err)?;
             // The checkpoint's engine wins: a resumed subscription must
             // continue bit-identically, never silently switch machines.
             options.exec.engine = cp.engine();
-            StreamSession::resume(&compiled, options, cp)
-        }),
-        None => StreamSession::new(&compiled, options),
-    };
-    let mut session = match built {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = ready.send(Err(map_stream_err(e)));
-            return;
+            Some(cp)
         }
+        None => None,
     };
+    let policy = options.exec.policy;
+    let mut session =
+        StreamSession::open(Cow::Owned(compiled), options, checkpoint).map_err(map_stream_err)?;
     if let Some(shared) = &config.shared {
-        if let Some(join) =
-            shared
-                .registry
-                .join(shared.origin, &compiled, config.stream.exec.policy)
-        {
+        if let Some(join) = shared.registry.join(shared.origin, session.query(), policy) {
             session.install_shared(join);
         }
     }
-    tag.set_records(session.records());
-    tag.set(WorkerPhase::Idle);
-    if ready.send(Ok(())).is_err() {
-        return;
-    }
-    loop {
-        match rx.recv_timeout(config.poll_interval) {
-            Ok(command) => {
-                queued.fetch_sub(1, Ordering::Relaxed);
-                match command {
-                    Command::Feed { row, reply } => {
-                        tag.set(WorkerPhase::Feed);
-                        let result = session.feed(row).map_err(map_stream_err);
-                        // Publish before the reply so a caller that saw
-                        // its feed acknowledged also sees the count.
-                        tag.set_records(session.records());
-                        let _ = reply.send(result);
-                    }
-                    Command::Snapshot { reply } => {
-                        tag.set(WorkerPhase::Snapshot);
-                        let _ = reply.send(
-                            session
-                                .snapshot()
-                                .map(|cp| (cp.to_text(), cp.records()))
-                                .map_err(map_stream_err),
-                        );
-                    }
-                    Command::Status { reply } => {
-                        tag.set(WorkerPhase::Status);
-                        let _ = reply.send(status_of(&session));
-                    }
-                    Command::Finish { reply } => {
-                        tag.set(WorkerPhase::Finish);
-                        let _ = reply.send(finish_report(session));
-                        tag.set(WorkerPhase::Idle);
-                        return;
-                    }
-                }
-                tag.set(WorkerPhase::Idle);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // The stalled-tenant fix: an idle session still observes
-                // its wall-clock deadline (and cancellation token).
-                let _ = session.poll_deadline();
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
+    Ok(session)
 }
 
 fn status_of(session: &StreamSession<'_>) -> SessionStatus {
@@ -563,6 +489,7 @@ mod tests {
     use crate::governor::{Governor, TripReason};
     use crate::EngineKind;
     use sqlts_relation::{ColumnType, Table, Value};
+    use std::time::Duration;
 
     fn quote_schema() -> Schema {
         Schema::new([
@@ -639,12 +566,11 @@ mod tests {
     }
 
     #[test]
-    fn stalled_worker_trips_deadline_from_idle_loop() {
+    fn stalled_worker_trip_is_seen_when_the_session_is_read() {
         // The acceptance criterion: a non-feeding subscription with a
         // wall-clock deadline trips Governed with no further feed call.
         let mut config = SessionWorkerConfig::new("stall", QUERY, quote_schema());
         config.stream.exec.governor = Governor::unlimited().with_timeout(Duration::from_millis(20));
-        config.poll_interval = Duration::from_millis(5);
         let worker = SessionWorker::spawn(config).unwrap();
         worker
             .feed(vec![
@@ -653,7 +579,7 @@ mod tests {
                 Value::Float(100.0),
             ])
             .unwrap();
-        // Stall: no feeds.  The idle loop must latch the trip by itself.
+        // Stall: no feeds.  Reading the status must latch the trip.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let trip = loop {
             let status = worker.status().unwrap();
@@ -664,7 +590,7 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "stalled session never tripped its deadline"
             );
-            std::thread::sleep(Duration::from_millis(5));
+            std::hint::spin_loop();
         };
         assert_eq!(trip.reason, TripReason::Deadline);
         // finish() reports the partial result with the trip attached.
@@ -709,16 +635,11 @@ mod tests {
         for row in &rows {
             worker.feed(row.clone()).unwrap();
         }
-        // Every feed reply is a rendezvous, so once the last feed returns
-        // the published record count is exact and the queue is drained.
+        // Every feed runs on this thread, so once the last feed returns
+        // the published record count is exact.
         assert_eq!(tag.records(), rows.len() as u64);
-        assert_eq!(worker.queue_depth(), 0);
-        // The worker parks between commands; give it a beat to publish.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while tag.phase() != WorkerPhase::Idle {
-            assert!(std::time::Instant::now() < deadline, "never settled idle");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // The session is idle as soon as a call returns.
+        assert_eq!(tag.phase(), WorkerPhase::Idle);
         // The tag outlives the handle — a sampler holding the Arc must
         // not keep the worker alive or crash after finish.
         let report = worker.finish().unwrap();

@@ -57,6 +57,7 @@ use sqlts_trace::{
     BoundedHistogram, ClusterMetrics, ClusterProfile, ClusterRecorder, ExecutionProfile,
     RingBuffer, TraceEvent, TraceSink, TripCause, HIST_BUCKETS,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -308,7 +309,10 @@ struct ClusterStream {
 /// closed with [`StreamSession::finish`], which returns the same
 /// [`QueryResult`] a batch run over the full input would.
 pub struct StreamSession<'q> {
-    query: &'q CompiledQuery,
+    /// Borrowed by every public constructor; owned only through
+    /// [`StreamSession::open`], so a registry can hold the session
+    /// without a self-borrow.
+    query: Cow<'q, CompiledQuery>,
     options: StreamOptions,
     search_options: SearchOptions,
     search_plan: Option<SearchPlan>,
@@ -336,6 +340,44 @@ pub struct StreamSession<'q> {
 impl<'q> StreamSession<'q> {
     /// Open a fresh streaming session for `query`.
     pub fn new(query: &'q CompiledQuery, options: StreamOptions) -> Result<Self, StreamError> {
+        StreamSession::open(Cow::Borrowed(query), options, None)
+    }
+
+    /// Rebuild a session from a checkpoint, continuing bit-identically to
+    /// the session that took it.  The governor and deadline start fresh:
+    /// restored work was already metered by the run that checkpointed.
+    pub fn resume(
+        query: &'q CompiledQuery,
+        options: StreamOptions,
+        checkpoint: SessionCheckpoint,
+    ) -> Result<Self, StreamError> {
+        StreamSession::open(Cow::Borrowed(query), options, Some(checkpoint))
+    }
+
+    /// The one constructor behind [`new`](Self::new) and
+    /// [`resume`](Self::resume).  Passing `Cow::Owned` yields a
+    /// `StreamSession<'static>` that owns its query.
+    pub(crate) fn open(
+        query: Cow<'q, CompiledQuery>,
+        options: StreamOptions,
+        checkpoint: Option<SessionCheckpoint>,
+    ) -> Result<Self, StreamError> {
+        if let Some(checkpoint) = &checkpoint {
+            if checkpoint.engine != options.exec.engine {
+                return Err(StreamError::Checkpoint(format!(
+                    "engine mismatch: checkpoint '{}' vs session '{}'",
+                    checkpoint.engine.name(),
+                    options.exec.engine.name()
+                )));
+            }
+            if checkpoint.pattern_len != query.elements.len() {
+                return Err(StreamError::Checkpoint(format!(
+                    "pattern length mismatch: checkpoint {} vs query {}",
+                    checkpoint.pattern_len,
+                    query.elements.len()
+                )));
+            }
+        }
         if options.exec.direction != DirectionChoice::Forward {
             return Err(StreamError::Unsupported(
                 "reverse/auto scan direction needs the end of the stream first".into(),
@@ -361,12 +403,12 @@ impl<'q> StreamSession<'q> {
             policy: options.exec.policy,
         };
         let log = (options.log_capacity > 0).then(|| RingBuffer::new(options.log_capacity));
-        Ok(StreamSession {
+        let mut session = StreamSession {
+            margins: margins_of(&query),
             query,
             options,
             search_options,
             search_plan,
-            margins: margins_of(query),
             cluster_idx,
             sequence_idx,
             clusters: BTreeMap::new(),
@@ -382,7 +424,57 @@ impl<'q> StreamSession<'q> {
             plan_ns,
             shared: None,
             feeds_since_prune: 0,
-        })
+        };
+        let Some(checkpoint) = checkpoint else {
+            return Ok(session);
+        };
+        session.records = checkpoint.records;
+        session.skipped = checkpoint.skipped;
+        session.pressure_trips = checkpoint.pressure_trips;
+        session.quarantine = checkpoint.quarantine;
+        if checkpoint.log.is_some() {
+            session.log = checkpoint.log;
+        }
+        for cc in checkpoint.clusters {
+            let mut buf = Table::new(session.query.schema.clone());
+            let mut bytes = 0;
+            for row in cc.rows {
+                bytes += row_bytes(&row);
+                buf.push_row(row)?;
+            }
+            // Same construction order as a fresh cluster: governed scope
+            // first (initial refill before the recorder is attached), then
+            // the recorder, then the restored totals — this keeps
+            // `governor_flushes` and flush timing bit-identical.
+            let mut counter = match &session.run {
+                Some(run) => EvalCounter::governed(run.scope()),
+                None => EvalCounter::new(),
+            };
+            if let Some(recorder) = cc.recorder {
+                counter = counter.with_recorder(recorder);
+            } else if session.options.exec.instrument.armed() {
+                counter = counter.with_recorder(ClusterRecorder::new(
+                    session.query.elements.len(),
+                    session.options.exec.instrument.capacity(),
+                ));
+            }
+            counter.restore_total(cc.counter_total);
+            session.window_bytes += bytes;
+            session.clusters.insert(
+                cc.key,
+                ClusterStream {
+                    buf,
+                    base: cc.base,
+                    bytes,
+                    last_seq: cc.last_seq,
+                    machine: cc.machine,
+                    counter,
+                    pending: cc.pending,
+                    rows: cc.out_rows,
+                },
+            );
+        }
+        Ok(session)
     }
 
     /// Attach this session to a shared pattern-set group.  Existing
@@ -397,6 +489,11 @@ impl<'q> StreamSession<'q> {
             cs.counter = counter.with_shared(join.handle_for(key));
         }
         self.shared = Some(join);
+    }
+
+    /// The compiled query this session runs.
+    pub(crate) fn query(&self) -> &CompiledQuery {
+        &self.query
     }
 
     /// Input records seen so far (accepted + rejected).
@@ -505,9 +602,11 @@ impl<'q> StreamSession<'q> {
     /// `feed` polls the governor at every tuple boundary, but a stream
     /// that simply *stops feeding* would otherwise never observe its
     /// deadline: an idle or stalled tenant could hold its budget forever.
-    /// Long-running hosts (the `sqlts-server` subscription workers, any
-    /// `--follow`-style driver with a read timeout) call this from their
-    /// idle loop so a stalled session still trips and releases its budget.
+    /// Long-running hosts call this before they read a session (the
+    /// `sqlts-server` subscription workers poll it on every status,
+    /// snapshot and finish) or from an idle loop (a `--follow`-style
+    /// driver with a read timeout), so a stalled session still trips and
+    /// releases its budget.
     ///
     /// Cheap when it does not trip: one latched-flag read plus at most one
     /// `Instant::now()`.  No steps are charged.
@@ -602,7 +701,7 @@ impl<'q> StreamSession<'q> {
         cs.last_seq = Some(seq);
         self.window_bytes += bytes;
         let outcome = drive(
-            self.query,
+            &self.query,
             self.search_plan.as_ref(),
             &self.search_options,
             &self.margins,
@@ -757,78 +856,6 @@ impl<'q> StreamSession<'q> {
         })
     }
 
-    /// Rebuild a session from a checkpoint, continuing bit-identically to
-    /// the session that took it.  The governor and deadline start fresh:
-    /// restored work was already metered by the run that checkpointed.
-    pub fn resume(
-        query: &'q CompiledQuery,
-        options: StreamOptions,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Self, StreamError> {
-        if checkpoint.engine != options.exec.engine {
-            return Err(StreamError::Checkpoint(format!(
-                "engine mismatch: checkpoint '{}' vs session '{}'",
-                checkpoint.engine.name(),
-                options.exec.engine.name()
-            )));
-        }
-        if checkpoint.pattern_len != query.elements.len() {
-            return Err(StreamError::Checkpoint(format!(
-                "pattern length mismatch: checkpoint {} vs query {}",
-                checkpoint.pattern_len,
-                query.elements.len()
-            )));
-        }
-        let mut session = StreamSession::new(query, options)?;
-        session.records = checkpoint.records;
-        session.skipped = checkpoint.skipped;
-        session.pressure_trips = checkpoint.pressure_trips;
-        session.quarantine = checkpoint.quarantine;
-        if checkpoint.log.is_some() {
-            session.log = checkpoint.log;
-        }
-        for cc in checkpoint.clusters {
-            let mut buf = Table::new(query.schema.clone());
-            let mut bytes = 0;
-            for row in cc.rows {
-                bytes += row_bytes(&row);
-                buf.push_row(row)?;
-            }
-            // Same construction order as a fresh cluster: governed scope
-            // first (initial refill before the recorder is attached), then
-            // the recorder, then the restored totals — this keeps
-            // `governor_flushes` and flush timing bit-identical.
-            let mut counter = match &session.run {
-                Some(run) => EvalCounter::governed(run.scope()),
-                None => EvalCounter::new(),
-            };
-            if let Some(recorder) = cc.recorder {
-                counter = counter.with_recorder(recorder);
-            } else if session.options.exec.instrument.armed() {
-                counter = counter.with_recorder(ClusterRecorder::new(
-                    query.elements.len(),
-                    session.options.exec.instrument.capacity(),
-                ));
-            }
-            counter.restore_total(cc.counter_total);
-            session.window_bytes += bytes;
-            session.clusters.insert(
-                cc.key,
-                ClusterStream {
-                    buf,
-                    base: cc.base,
-                    bytes,
-                    last_seq: cc.last_seq,
-                    machine: cc.machine,
-                    counter,
-                    pending: cc.pending,
-                    rows: cc.out_rows,
-                },
-            );
-        }
-        Ok(session)
-    }
-
     /// Close the stream: drive every machine to end-of-input, project the
     /// remaining matches, and assemble the merged [`QueryResult`] exactly
     /// like the batch executor's cluster-order merge.
@@ -836,7 +863,7 @@ impl<'q> StreamSession<'q> {
         if let Some(cause) = self.poisoned {
             return Err(StreamError::Poisoned(cause));
         }
-        let query = self.query;
+        let query = &*self.query;
         let mut out = Table::new(output_schema(query)?);
         let mut stats = SearchStats::default();
         let instrument = self.options.exec.instrument;

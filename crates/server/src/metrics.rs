@@ -283,7 +283,6 @@ impl ServerMetrics {
         out.push_str("# TYPE sqlts_sub_skipped gauge\n");
         out.push_str("# TYPE sqlts_sub_quarantined gauge\n");
         out.push_str("# TYPE sqlts_sub_tripped gauge\n");
-        out.push_str("# TYPE sqlts_sub_queue_depth gauge\n");
         for block in live {
             out.push_str(block);
         }
@@ -306,9 +305,8 @@ impl ServerMetrics {
 }
 
 /// Render one live subscription's gauges (tenant-labeled, names declared
-/// once by [`ServerMetrics::render`]).  `queue_depth` is the worker's
-/// live command-queue occupancy.
-pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus, queue_depth: u64) -> String {
+/// once by [`ServerMetrics::render`]).
+pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus) -> String {
     let t = escape_label(tenant);
     let mut out = String::new();
     let _ = writeln!(
@@ -331,7 +329,6 @@ pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus, queue_depth
         "sqlts_sub_tripped{{tenant=\"{t}\"}} {}",
         u8::from(status.trip.is_some())
     );
-    let _ = writeln!(out, "sqlts_sub_queue_depth{{tenant=\"{t}\"}} {queue_depth}");
     out
 }
 
@@ -414,8 +411,6 @@ pub struct SubStatusView {
     pub channel: String,
     /// The worker's point-in-time session status.
     pub status: sqlts_core::SessionStatus,
-    /// Live command-queue occupancy.
-    pub queue_depth: u64,
     /// The phase the worker published most recently.
     pub phase: &'static str,
 }
@@ -476,12 +471,11 @@ pub fn status_json(
         let _ = write!(
             out,
             "\",\"records\":{},\"skipped\":{},\"quarantined\":{},\"window_bytes\":{},\
-             \"queue_depth\":{},\"phase\":\"{}\",\"poisoned\":{}",
+             \"phase\":\"{}\",\"poisoned\":{}",
             sub.status.records,
             sub.status.skipped,
             sub.status.quarantined,
             sub.status.window_bytes,
-            sub.queue_depth,
             sub.phase,
             sub.status.poisoned,
         );
@@ -567,19 +561,15 @@ mod tests {
             trip: None,
             poisoned: false,
         };
-        let block = live_gauges("a\"b\\c\nd", &status, 3);
+        let block = live_gauges("a\"b\\c\nd", &status);
         assert!(
             block.contains("sqlts_sub_records{tenant=\"a\\\"b\\\\c\\nd\"} 1"),
-            "{block}"
-        );
-        assert!(
-            block.contains("sqlts_sub_queue_depth{tenant=\"a\\\"b\\\\c\\nd\"} 3"),
             "{block}"
         );
         for line in block.lines() {
             assert!(!line.is_empty(), "raw newline split a sample line: {block}");
         }
-        assert_eq!(block.lines().count(), 5, "{block}");
+        assert_eq!(block.lines().count(), 4, "{block}");
     }
 
     #[test]
@@ -597,7 +587,6 @@ mod tests {
                 trip: None,
                 poisoned: false,
             },
-            queue_depth: 0,
             phase: "idle",
         }];
         let snap = crate::replicate::ReplSnapshot {

@@ -1,13 +1,16 @@
 //! The sampling profiler behind `--sample-profile`: a single thread
-//! that periodically snapshots every live subscription worker's
-//! published [`WorkerPhase`](sqlts_core::WorkerPhase) tag and folds the
-//! samples into collapsed-stack format (`frame;frame;frame count`, one
-//! stack per line) consumable by standard flamegraph tooling.
+//! that periodically snapshots every live subscription's published
+//! [`WorkerPhase`](sqlts_core::WorkerPhase) tag and folds the samples
+//! into collapsed-stack format (`frame;frame;frame count`, one stack per
+//! line) consumable by standard flamegraph tooling.
 //!
 //! This is deliberately *not* OS-level stack unwinding: no signals, no
-//! ptrace, no frame-pointer walking.  Each worker already publishes a
-//! cheap atomic phase tag on every command (see `sqlts_core::multiplex`);
-//! sampling it is one relaxed load per subscription per tick, so the
+//! ptrace, no frame-pointer walking.  Subscriptions have no threads of
+//! their own: whichever connection thread runs a call on a subscription's
+//! session sets its cheap atomic phase tag for the length of that call
+//! (see `sqlts_core::multiplex`), so a tag names what is being done to
+//! the subscription, not which thread does it.  Sampling it is one
+//! relaxed load per subscription per tick, so the
 //! profiler observes the server without perturbing it — the armed run's
 //! query output stays byte-identical to an unarmed run.
 //!

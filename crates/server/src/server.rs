@@ -33,10 +33,15 @@
 //! A *channel* is a named, schema-typed input feed; any connection may
 //! `FEED` it and every subscription on it sees the same tuples.  A
 //! *subscription* is one standing query over one channel, owned by the
-//! connection that created it: it runs on its own
-//! [`SessionWorker`] thread with the server's default governor budgets,
-//! a bounded command queue (admission control), and an idle-poll interval
-//! that trips stalled tenants' wall-clock deadlines.  When a connection
+//! connection that created it: it is a [`SessionWorker`] — an owned
+//! session behind one leaf lock — with the server's default governor
+//! budgets.  No thread exists per subscription: every call runs on the
+//! connection thread that makes it.  `FEED` fans each row out to the
+//! channel's subscriptions in turn under the channel's persist lock, so
+//! WAL order, shared-matcher memo order and every reply are fixed by feed
+//! order alone.  A stalled tenant's wall-clock deadline is latched the
+//! next time it is read (`STATUS`, `CHECKPOINT`, `UNSUBSCRIBE`, a
+//! snapshot, a scrape).  When a connection
 //! closes, its subscriptions are finished and their profiles retained for
 //! `/metrics`; a client that wants to survive a disconnect takes a
 //! `CHECKPOINT` first and `RESUME`s on a new connection.
@@ -98,9 +103,6 @@ pub enum SharedMatcherMode {
     /// Subscriptions join their channel's shared pattern-set registry;
     /// queries with no shareable element still fall back to a solo pass.
     On,
-    /// Same as `On` today: the registry already declines per query when
-    /// nothing is shareable, which is the only fallback rule defined.
-    Auto,
 }
 
 impl SharedMatcherMode {
@@ -109,7 +111,6 @@ impl SharedMatcherMode {
         match value {
             "off" => Some(SharedMatcherMode::Off),
             "on" => Some(SharedMatcherMode::On),
-            "auto" => Some(SharedMatcherMode::Auto),
             _ => None,
         }
     }
@@ -126,10 +127,6 @@ pub struct ServerConfig {
     pub listen: String,
     /// Admission cap: maximum concurrently live subscriptions.
     pub max_subscriptions: usize,
-    /// Per-subscription command-queue depth (backpressure bound).
-    pub queue_depth: usize,
-    /// Idle-poll interval for stalled-deadline reclamation.
-    pub poll_interval: Duration,
     /// Largest accepted frame payload; larger frames are drained and
     /// answered with `ERR 2`.
     pub max_frame_bytes: usize,
@@ -166,7 +163,7 @@ pub struct ServerConfig {
     /// Profiler sample rate (`--sample-hz`, clamped to 1..=1000).
     pub sample_hz: u32,
     /// Shared pattern-set execution across a channel's subscriptions
-    /// (`--shared-matcher on|off|auto`).
+    /// (`--shared-matcher on|off`).
     pub shared_matcher: SharedMatcherMode,
     /// Segment roll threshold for channel WALs (`--wal-segment-bytes`).
     pub wal_segment_bytes: u64,
@@ -190,8 +187,6 @@ impl Default for ServerConfig {
         ServerConfig {
             listen: "127.0.0.1:0".into(),
             max_subscriptions: 64,
-            queue_depth: 16,
-            poll_interval: Duration::from_millis(50),
             max_frame_bytes: 1 << 20,
             governor: Governor::unlimited(),
             engine: EngineKind::Ops,
@@ -756,8 +751,6 @@ fn respawn_and_replay(
             ))
         })?;
         let mut config = SessionWorkerConfig::new(&id, &meta.sql, schema);
-        config.queue_depth = shared.config.queue_depth;
-        config.poll_interval = shared.config.poll_interval;
         config.stream.exec.engine = shared.config.engine;
         config.stream.exec.governor = shared.config.governor.clone();
         config.stream.exec.instrument = Instrument::profiling();
@@ -1471,7 +1464,7 @@ fn recover_worker_err(id: &str, e: &WorkerError) -> ServeError {
 }
 
 /// Finish (and retain profiles of) every subscription the closed
-/// connection owned, releasing their worker threads and budgets.
+/// connection owned, releasing their sessions and budgets.
 /// Recovered subscriptions belong to connection 0 and are never reaped.
 fn reap_connection(shared: &Shared, conn: u64) {
     if shared.draining.load(Ordering::SeqCst) {
@@ -1802,8 +1795,6 @@ fn subscribe(
         }
     }
     let mut config = SessionWorkerConfig::new(id, sql, channel.schema.clone());
-    config.queue_depth = shared.config.queue_depth;
-    config.poll_interval = shared.config.poll_interval;
     config.stream.exec.engine = shared.config.engine;
     config.stream.exec.governor = shared.config.governor.clone();
     config.stream.exec.instrument = Instrument::profiling();
@@ -2377,7 +2368,7 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         let views = http_sub_views(shared);
         let live: Vec<String> = views
             .iter()
-            .map(|v| live_gauges(&v.id, &v.status, v.queue_depth))
+            .map(|v| live_gauges(&v.id, &v.status))
             .collect();
         let mut body = shared.metrics.render(&live);
         if shared.config.shared_matcher.enabled() {
@@ -2473,7 +2464,7 @@ fn patternset_exposition(shared: &Shared, views: &[SubStatusView]) -> String {
 }
 
 /// Snapshot every live subscription's observable state for the HTTP
-/// endpoints: status (records/skips/trip), queue depth, worker phase.
+/// endpoints: status (records/skips/trip) and worker phase.
 fn http_sub_views(shared: &Shared) -> Vec<SubStatusView> {
     let handles: Vec<(String, String, Arc<SessionWorker>)> = shared
         .subs
@@ -2491,7 +2482,6 @@ fn http_sub_views(shared: &Shared) -> Vec<SubStatusView> {
                 id,
                 channel,
                 status,
-                queue_depth: worker.queue_depth(),
                 phase: worker.phase_tag().phase().as_str(),
             })
         })

@@ -214,6 +214,9 @@ fn streams_to_the_standby_and_promotes_byte_identically() {
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
     client.request(&format!("SUBSCRIBE s q\n{SQL}"));
+    wait_until("replication link up", || {
+        metric(&http_get(&primary.addr, "/metrics"), "sqlts_repl_connected") == 1
+    });
     for frame in &all {
         let reply = client.request(&format!("FEED q\n{frame}"));
         assert!(reply.starts_with("OK fed 3"), "{reply}");
@@ -337,6 +340,9 @@ fn forged_frames_are_rejected_without_poisoning_either_side() {
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
     client.request(&format!("SUBSCRIBE s q\n{SQL}"));
+    wait_until("replication link up", || {
+        metric(&http_get(&primary.addr, "/metrics"), "sqlts_repl_connected") == 1
+    });
     for frame in &all[..2] {
         client.request(&format!("FEED q\n{frame}"));
     }
